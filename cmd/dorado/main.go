@@ -103,19 +103,9 @@ func main() {
 
 	var disk, display interface{ Task() int }
 	if *devices {
-		d := dorado.NewDisk(11)
-		if err := sys.Machine.Attach(d); err != nil {
+		if disk, display, err = attachDevices(sys); err != nil {
 			fatal(err)
 		}
-		disp := dorado.NewDisplay(13, sys.Machine, 32) // a quarter of full bandwidth
-		disp.SetBase(0x20000)
-		if err := sys.Machine.Attach(disp); err != nil {
-			fatal(err)
-		}
-		if err := installDeviceMicrocode(sys); err != nil {
-			fatal(err)
-		}
-		disk, display = d, disp
 	}
 
 	what := fmt.Sprintf("demo %q", *demo)
@@ -339,16 +329,50 @@ func writeDemo(lang dorado.Language, demo string, a *dorado.Asm) ([]uint16, func
 	return nil, nil, fmt.Errorf("language %v has no demo %q", lang, demo)
 }
 
+// attachDevices attaches the disk (task 11) and the display (task 13, at a
+// quarter of full bandwidth) to a booted system and installs their
+// service microcode.
+func attachDevices(sys *dorado.System) (disk, display interface{ Task() int }, err error) {
+	d := dorado.NewDisk(11)
+	if err := sys.Machine.Attach(d); err != nil {
+		return nil, nil, err
+	}
+	disp := dorado.NewDisplay(13, sys.Machine, 32)
+	disp.SetBase(0x20000)
+	if err := sys.Machine.Attach(disp); err != nil {
+		return nil, nil, err
+	}
+	if err := installDeviceMicrocode(sys); err != nil {
+		return nil, nil, err
+	}
+	return d, disp, nil
+}
+
+// diskRM returns the disk task's buffer-pointer register. Device microcode
+// shares RM bank 0 with the emulator, so it must be a register the
+// emulator leaves alone. RM 14 holds the frame base during CALL in every
+// emulator, so a disk wakeup inside a call would corrupt the new frame.
+// RM 12 is the memory-stack pointer, which only the Lisp emulator uses.
+// Lisp uses all of RM 12–15, so no bank-0 register is safe with it; it
+// keeps RM 14.
+func diskRM(lang dorado.Language) uint8 {
+	if lang == dorado.Lisp {
+		return 14
+	}
+	return 12
+}
+
 // installDeviceMicrocode assembles the disk and display service routines,
 // splices them into free pages of the emulator's microstore image, and
 // points the device tasks at them.
 func installDeviceMicrocode(sys *dorado.System) error {
 	m := sys.Machine
+	rm := diskRM(sys.Language)
 	b := masm.NewBuilder()
 	b.EmitAt("dev.disk", masm.I{FF: microcode.FFInput, ALU: microcode.ALUB, LC: microcode.LCLoadT})
-	b.Emit(masm.I{A: microcode.ASelStore, R: 14, B: microcode.BSelT,
+	b.Emit(masm.I{A: microcode.ASelStore, R: rm, B: microcode.BSelT,
 		ALU: microcode.ALUAplus1, LC: microcode.LCLoadRM})
-	b.Emit(masm.I{A: microcode.ASelStore, R: 14, FF: microcode.FFInput,
+	b.Emit(masm.I{A: microcode.ASelStore, R: rm, FF: microcode.FFInput,
 		ALU: microcode.ALUAplus1, LC: microcode.LCLoadRM, Block: true, Flow: masm.Goto("dev.disk")})
 	b.EmitAt("dev.disp", masm.I{A: microcode.ASelT, B: microcode.BSelRM, R: 15,
 		ALU: microcode.ALUAplusB, LC: microcode.LCLoadRM, FF: microcode.FFOutput})
@@ -366,8 +390,8 @@ func installDeviceMicrocode(sys *dorado.System) error {
 	m.SetIOAddress(13, 13)
 	m.SetTPC(11, combined.MustEntry("dev.disk"))
 	m.SetTPC(13, combined.MustEntry("dev.disp"))
-	m.SetRM(14, 0x7800) // disk buffer
-	m.SetT(13, 16)      // display block stride
+	m.SetRM(int(rm), 0x7800) // disk buffer
+	m.SetT(13, 16)           // display block stride
 	return nil
 }
 

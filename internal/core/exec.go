@@ -277,10 +277,10 @@ func (m *Machine) nextAddr(d *decoded, ts *taskState, bVal uint16, now uint64) m
 		return ts.link
 	case microcode.NextIFUJump:
 		a := m.ifu.Dispatch(now)
-		if e := m.ifu.LastEntry(); e.LoadMemBase {
+		if mb, ok := m.ifu.DispatchMemBase(); ok {
 			// §6.3.3: MEMBASE loaded from the IFU at the start of a
 			// macroinstruction.
-			m.membase = e.MemBase & 0x1F
+			m.membase = mb & 0x1F
 		}
 		return a
 	case microcode.NextDispatch8:

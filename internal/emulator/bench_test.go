@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dorado/internal/core"
+	"dorado/internal/memory"
 )
 
 // benchMesa runs a Mesa loop workload once per iteration, reporting
@@ -45,8 +46,9 @@ func BenchmarkMesaEmulation(b *testing.B) {
 
 // steadyMesaMachine boots the Mesa emulator on an endless macroinstruction
 // loop: IFU dispatch, frame load/store, and a taken conditional jump every
-// iteration — the steady-state emulator workload.
-func steadyMesaMachine(b *testing.B) *core.Machine {
+// iteration — the steady-state emulator workload. A non-nil setup runs
+// after the program is installed and before the warm-up.
+func steadyMesaMachine(b *testing.B, setup func(*core.Machine)) *core.Machine {
 	p, err := BuildMesa()
 	if err != nil {
 		b.Fatal(err)
@@ -66,6 +68,9 @@ func steadyMesaMachine(b *testing.B) *core.Machine {
 	if err := p.InstallOn(m); err != nil {
 		b.Fatal(err)
 	}
+	if setup != nil {
+		setup(m)
+	}
 	m.RunCycles(50_000) // past boot and cache warmup, into steady state
 	return m
 }
@@ -75,7 +80,35 @@ func steadyMesaMachine(b *testing.B) *core.Machine {
 // allocations per cycle, and the cycles/sec metric is the headline host
 // throughput number (compare BENCH_SIM.json).
 func BenchmarkStepBaseline(b *testing.B) {
-	m := steadyMesaMachine(b)
+	benchStep(b, steadyMesaMachine(b, nil))
+}
+
+// BenchmarkStepMapped is BenchmarkStepBaseline through a page map: every
+// page of real storage is remapped (virtual page vp to real page n-1-vp,
+// contents moved along), so each instruction fetch, IFU prefetch and data
+// reference translates through the page table and maintains its
+// referenced/dirty flags. It must stay allocation-free as well.
+func BenchmarkStepMapped(b *testing.B) {
+	benchStep(b, steadyMesaMachine(b, func(m *core.Machine) {
+		mem := m.Mem()
+		words := uint32(mem.Config().StorageWords)
+		image := make([]uint16, words)
+		for va := range words {
+			image[va] = mem.Peek(va)
+		}
+		pages := words / memory.PageWords
+		for vp := range pages {
+			mem.MapSet(vp, pages-1-vp)
+		}
+		for va, w := range image {
+			mem.Poke(uint32(va), w)
+		}
+	}))
+}
+
+// benchStep asserts that m steps without allocating, then times it one
+// cycle per iteration.
+func benchStep(b *testing.B, m *core.Machine) {
 	const chunk = 10_000
 	if avg := testing.AllocsPerRun(10, func() { m.RunCycles(chunk) }); avg != 0 {
 		b.Fatalf("steady-state emulator workload allocates: %v allocs per %d cycles", avg, chunk)

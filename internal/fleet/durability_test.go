@@ -520,3 +520,71 @@ func TestGCChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestReviveChargedToService checks where a revive's time is accounted:
+// the first operation on a parked, store-backed session revives it after
+// the worker picks the operation up, so the revive belongs to that
+// operation's service time, and its queue-wait sample stays below what a
+// revive costs.
+func TestReviveChargedToService(t *testing.T) {
+	m := New(Config{Workers: 1, Store: openStore(t, t.TempDir())})
+	defer drainNow(t, m)
+	// The default 2 MB machine: a revive fetches, rebuilds and restores
+	// megabytes, milliseconds against a dequeue's microseconds.
+	id, err := m.Create(Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.LoadMicrocode(tctx, id, SpinMicrocode, "start"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(tctx, id, 1000); err != nil {
+		t.Fatal(err)
+	}
+	res := parkNow(t, m, id)
+	s, _ := m.lookup(id)
+	s.mu.Lock()
+	spec := s.spec
+	s.mu.Unlock()
+
+	// What reviveLocked does, timed directly; the best of three.
+	revive := time.Duration(1<<63 - 1)
+	for range 3 {
+		start := time.Now()
+		data, err := m.cfg.Store.Get(res.Snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := spec.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Machine.Restore(data); err != nil {
+			t.Fatal(err)
+		}
+		revive = min(revive, time.Since(start))
+	}
+
+	queue0 := m.lat.queue[opState].Snapshot()
+	service0 := m.lat.service[opState].Snapshot()
+	if _, err := m.ReadState(tctx, id); err != nil {
+		t.Fatal(err)
+	}
+	queue1 := m.lat.queue[opState].Snapshot()
+	service1 := m.lat.service[opState].Snapshot()
+	if queue1.Total != queue0.Total+1 || service1.Total != service0.Total+1 {
+		t.Fatalf("state op samples: queue %d→%d, service %d→%d",
+			queue0.Total, queue1.Total, service0.Total, service1.Total)
+	}
+	if m.counters.revived.Load() != 1 {
+		t.Fatalf("revived = %d, want 1", m.counters.revived.Load())
+	}
+	queueUS, serviceUS := queue1.Sum-queue0.Sum, service1.Sum-service0.Sum
+	if queueUS >= uint64(revive.Microseconds()) {
+		t.Errorf("queue-wait sample %dµs is not below the revive time %v (service %dµs): the revive was charged to the queue",
+			queueUS, revive, serviceUS)
+	}
+	if serviceUS < queueUS {
+		t.Errorf("service sample %dµs below queue-wait sample %dµs on a reviving op", serviceUS, queueUS)
+	}
+}

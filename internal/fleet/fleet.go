@@ -334,6 +334,11 @@ func (m *Manager) worker() {
 		op := s.pending[0]
 		copy(s.pending, s.pending[1:])
 		s.pending = s.pending[:len(s.pending)-1]
+		// The queue wait ends here, at dequeue: reviving a parked session
+		// is work done for this operation, so it is service time.
+		var res opResult
+		res.queue = time.Since(op.enqueued)
+		start := time.Now()
 		if s.parkedLocked() {
 			// Revive before unlocking: the rebuild mutates s.sys, and a
 			// concurrent janitor sweep must observe either parked or live,
@@ -345,8 +350,6 @@ func (m *Manager) worker() {
 		sys, reviveErr := s.sys, s.reviveErr
 		s.mu.Unlock()
 
-		var res opResult
-		res.queue = time.Since(op.enqueued)
 		ran := false
 		switch {
 		case reviveErr != nil:
@@ -356,7 +359,6 @@ func (m *Manager) worker() {
 			// skip the body rather than burn service time nobody reads.
 			res.err = op.ctx.Err()
 		default:
-			start := time.Now()
 			res.value, res.err = op.fn(sys)
 			res.service = time.Since(start)
 			ran = true

@@ -88,11 +88,37 @@ type Stats struct {
 	WordsFetch uint64 // words prefetched from memory
 }
 
+// dispatch is an opcode's decode-table row resolved for the dispatch path:
+// everything DispatchReady and Dispatch need, without copying an Entry.
+// need is the instruction's length in bytes (1 + operands); 0 means the
+// opcode never becomes ready (invalid, with no Illegal handler).
+type dispatch struct {
+	handler  microcode.Addr
+	need     uint8
+	operands uint8
+	wide     bool
+	illegal  bool // dispatches to Unit.Illegal
+	loadMB   bool
+	memBase  uint8
+}
+
+func resolve(e *Entry) dispatch {
+	return dispatch{
+		handler:  e.Handler,
+		need:     uint8(1 + e.Operands),
+		operands: uint8(e.Operands),
+		wide:     e.Wide,
+		loadMB:   e.LoadMemBase,
+		memBase:  e.MemBase,
+	}
+}
+
 // Unit is the instruction fetch unit.
 type Unit struct {
 	cfg   Config
 	mem   *memory.System
 	table [256]Entry
+	disp  [256]dispatch // table resolved (see resolveAll); the only copy Step reads
 	// Illegal is the handler used for invalid opcodes (set it before
 	// running; dispatching an invalid opcode without it is an error and
 	// halts decode).
@@ -101,9 +127,14 @@ type Unit struct {
 
 	codeBase uint32 // word VA of byte 0 of the code segment
 
+	// The prefetch buffer is a ring: stream byte p lives at ring[p&mask],
+	// and the buffered bytes are the stream positions [headPC, bytePC).
+	// Its length is a power of two ≥ BufferBytes, fixed at New, so neither
+	// fetching nor dispatching moves or allocates anything.
+	ring    []byte
+	mask    uint32
 	bytePC  uint32 // byte offset of the next *unbuffered* byte (prefetch head)
-	buf     []byte // prefetched bytes; buf[0] is at stream position headPC
-	headPC  uint32 // byte offset of buf[0]
+	headPC  uint32 // byte offset of the next byte to dispatch
 	readyAt uint64 // cycle at which buffered bytes become usable (refill/decode latency)
 
 	// Current (dispatched) instruction's pending operands. A fixed array
@@ -112,7 +143,14 @@ type Unit struct {
 	ops    [2]uint16
 	opHead uint8 // next operand to deliver
 	opLen  uint8 // operands latched by the current instruction
-	last   Entry // most recently dispatched entry
+
+	// The most recently dispatched entry is table[lastOp] while that row is
+	// unchanged; lastOp < 0 means it is held in last instead (an ILLEGAL
+	// dispatch, a restored snapshot, or a row rewritten since — see
+	// pinLast). lastD is its resolved form, for DispatchMemBase.
+	lastOp int16
+	last   Entry
+	lastD  dispatch
 
 	running bool
 	stats   Stats
@@ -120,34 +158,81 @@ type Unit struct {
 
 // New builds an IFU reading code through mem.
 func New(mem *memory.System, cfg Config) *Unit {
-	return &Unit{cfg: cfg.withDefaults(), mem: mem}
+	cfg = cfg.withDefaults()
+	n := 1
+	for n < cfg.BufferBytes {
+		n <<= 1
+	}
+	u := &Unit{cfg: cfg, mem: mem, ring: make([]byte, n), mask: uint32(n - 1), lastOp: -1}
+	u.resolveAll()
+	return u
+}
+
+// resolveAll rebuilds the dispatch rows from the decode table and the
+// Illegal handler's presence. Every change to either goes through here.
+func (u *Unit) resolveAll() {
+	for op := range u.table {
+		u.resolveOp(op)
+	}
+}
+
+func (u *Unit) resolveOp(op int) {
+	switch e := &u.table[op]; {
+	case e.Valid:
+		u.disp[op] = resolve(e)
+	case u.hasIll:
+		u.disp[op] = dispatch{need: 1, illegal: true}
+	default:
+		u.disp[op] = dispatch{}
+	}
+}
+
+// pinLast copies the last dispatched entry out of the table before a table
+// change, so LastEntry and snapshots keep reporting what was dispatched.
+func (u *Unit) pinLast() {
+	if u.lastOp >= 0 {
+		u.last = u.table[u.lastOp]
+		u.lastOp = -1
+	}
 }
 
 // SetEntry installs a decode-table row for opcode op.
 func (u *Unit) SetEntry(op uint8, e Entry) error {
+	if err := checkEntry(op, &e); err != nil {
+		return err
+	}
+	e.Valid = true
+	u.pinLast()
+	u.table[op] = e
+	u.resolveOp(int(op))
+	return nil
+}
+
+func checkEntry(op uint8, e *Entry) error {
 	if e.Operands < 0 || e.Operands > 2 {
 		return fmt.Errorf("ifu: opcode %#02x: %d operand bytes (max 2)", op, e.Operands)
 	}
 	if e.Wide && e.Operands != 2 {
 		return fmt.Errorf("ifu: opcode %#02x: Wide requires 2 operand bytes", op)
 	}
-	e.Valid = true
-	u.table[op] = e
 	return nil
 }
 
 // ResetTable clears every decode entry and the Illegal handler (rebooting
 // a different emulator on the same machine).
 func (u *Unit) ResetTable() {
+	u.pinLast()
 	u.table = [256]Entry{}
 	u.hasIll = false
 	u.Illegal = 0
+	u.resolveAll()
 }
 
 // SetIllegal installs the handler for invalid opcodes.
 func (u *Unit) SetIllegal(h microcode.Addr) {
 	u.Illegal = h
 	u.hasIll = true
+	u.resolveAll()
 }
 
 // SetCodeBase points the IFU at the word VA holding byte 0 of the
@@ -171,55 +256,45 @@ func (u *Unit) Running() bool { return u.running }
 func (u *Unit) Reset(pc uint16, now uint64) {
 	u.bytePC = uint32(pc)
 	u.headPC = uint32(pc)
-	if cap(u.buf) < u.cfg.BufferBytes {
-		// Full capacity up front: with the copy-down in Dispatch, the
-		// buffer never reallocates again, keeping Step allocation-free.
-		u.buf = make([]byte, 0, u.cfg.BufferBytes)
-	}
-	u.buf = u.buf[:0]
 	u.opHead, u.opLen = 0, 0
 	u.readyAt = now + uint64(u.cfg.FetchLatency)
 	u.running = true
 	u.stats.Resets++
 }
 
+// buffered returns the number of prefetched, undispatched bytes.
+func (u *Unit) buffered() uint32 { return u.bytePC - u.headPC }
+
 // Tick advances the prefetcher one cycle: after the startup latency, one
 // word (two bytes) arrives per cycle until the buffer is full.
 func (u *Unit) Tick(now uint64) {
-	if !u.running || len(u.buf)+2 > u.cfg.BufferBytes || now < u.readyAt {
+	if !u.running || int(u.buffered())+2 > u.cfg.BufferBytes || now < u.readyAt {
 		return
 	}
 	// Fetch the word containing bytePC. Byte order within the stream is
 	// high byte first.
 	w := u.mem.Peek(u.codeBase + u.bytePC/2)
 	if u.bytePC%2 == 0 {
-		u.buf = append(u.buf, byte(w>>8), byte(w))
+		u.ring[u.bytePC&u.mask] = byte(w >> 8)
+		u.ring[(u.bytePC+1)&u.mask] = byte(w)
 		u.bytePC += 2
 	} else {
-		u.buf = append(u.buf, byte(w))
+		u.ring[u.bytePC&u.mask] = byte(w)
 		u.bytePC++
 	}
 	u.stats.WordsFetch++
 }
 
-// peekEntry returns the decode entry for the buffered opcode. An invalid
-// opcode with no Illegal handler never becomes ready (the machine holds
-// until its cycle limit; set an Illegal handler in real microcode).
-func (u *Unit) peekEntry() (Entry, bool) {
-	if len(u.buf) == 0 {
-		return Entry{}, false
+// next returns the resolved row of the buffered opcode when all of its
+// bytes are buffered, or nil. An invalid opcode with no Illegal handler
+// never becomes ready (the machine holds until its cycle limit; set an
+// Illegal handler in real microcode).
+func (u *Unit) next() *dispatch {
+	d := &u.disp[u.ring[u.headPC&u.mask]]
+	if d.need == 0 || u.buffered() < uint32(d.need) {
+		return nil // need ≥ 1 also covers an empty buffer
 	}
-	e := u.table[u.buf[0]]
-	if !e.Valid {
-		if !u.hasIll {
-			return Entry{}, false
-		}
-		e = Entry{Valid: true, Handler: u.Illegal, Name: "ILLEGAL"}
-	}
-	if len(u.buf) < 1+e.Operands {
-		return Entry{}, false
-	}
-	return e, true
+	return d
 }
 
 // DispatchReady reports whether an IFUJUMP can complete at cycle now: the
@@ -229,38 +304,41 @@ func (u *Unit) DispatchReady(now uint64) bool {
 	if !u.running || now < u.readyAt+uint64(u.cfg.DecodeLatency) {
 		return false
 	}
-	_, ok := u.peekEntry()
-	return ok
+	return u.next() != nil
 }
 
 // Dispatch consumes the next macroinstruction: it returns the handler
 // address and latches the instruction's operands for IFUDATA. Call only
-// when DispatchReady. The full decode entry is available from LastEntry
-// (the processor applies LoadMemBase from it).
+// when DispatchReady. The full decode entry is available from LastEntry;
+// DispatchMemBase gives the processor its LoadMemBase part.
 func (u *Unit) Dispatch(now uint64) microcode.Addr {
-	e, ok := u.peekEntry()
-	if !ok {
+	d := u.next()
+	if d == nil {
 		panic("ifu: Dispatch while not ready (processor must Hold)")
 	}
-	u.last = e
-	n := 1 + e.Operands
-	u.opHead, u.opLen = 0, 0
-	if e.Wide {
-		u.ops[0] = uint16(u.buf[1])<<8 | uint16(u.buf[2])
+	h := d.handler
+	if d.illegal {
+		h = u.Illegal
+		u.last = Entry{Valid: true, Handler: h, Name: "ILLEGAL"}
+		u.lastOp = -1
+	} else {
+		u.lastOp = int16(u.ring[u.headPC&u.mask])
+	}
+	u.lastD = *d
+	u.opHead = 0
+	if d.wide {
+		u.ops[0] = uint16(u.ring[(u.headPC+1)&u.mask])<<8 | uint16(u.ring[(u.headPC+2)&u.mask])
 		u.opLen = 1
 	} else {
-		for i := 0; i < e.Operands; i++ {
-			u.ops[i] = uint16(u.buf[1+i])
+		for i := uint32(0); i < uint32(d.operands); i++ {
+			u.ops[i] = uint16(u.ring[(u.headPC+1+i)&u.mask])
 		}
-		u.opLen = uint8(e.Operands)
+		u.opLen = d.operands
 	}
-	// Copy-down instead of re-slicing: the buffer keeps its backing array,
-	// so the prefetcher's appends stay within capacity (no allocation).
-	u.buf = u.buf[:copy(u.buf, u.buf[n:])]
-	u.headPC += uint32(n)
-	u.stats.BytesRead += uint64(n)
+	u.headPC += uint32(d.need)
+	u.stats.BytesRead += uint64(d.need)
 	u.stats.Dispatches++
-	return e.Handler
+	return h
 }
 
 // PeekOperand returns the next operand without consuming it (the processor
@@ -274,7 +352,17 @@ func (u *Unit) PeekOperand() uint16 {
 }
 
 // LastEntry returns the decode entry of the most recent Dispatch.
-func (u *Unit) LastEntry() Entry { return u.last }
+func (u *Unit) LastEntry() Entry {
+	if u.lastOp >= 0 {
+		return u.table[u.lastOp]
+	}
+	return u.last
+}
+
+// DispatchMemBase reports whether the most recent Dispatch loads MEMBASE
+// (its entry's LoadMemBase) and the value to load — the part of LastEntry
+// the processor needs on every IFUJUMP, without copying the entry.
+func (u *Unit) DispatchMemBase() (mb uint8, ok bool) { return u.lastD.memBase, u.lastD.loadMB }
 
 // OperandReady reports whether an IFUDATA read can complete: dispatch has
 // latched at least one unconsumed operand. Operands are buffered with the

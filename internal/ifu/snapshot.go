@@ -28,12 +28,17 @@ func (u *Unit) SaveState(e *state.Encoder) {
 	e.U32(u.headPC)
 	e.U64(u.readyAt)
 	e.Bool(u.running)
-	e.Bytes32(u.buf)
+	// The buffered bytes in stream order, framed as Bytes32 frames them.
+	e.U32(u.buffered())
+	for p := u.headPC; p != u.bytePC; p++ {
+		e.U8(u.ring[p&u.mask])
+	}
 	e.U16(u.ops[0])
 	e.U16(u.ops[1])
 	e.U8(u.opHead)
 	e.U8(u.opLen)
-	saveEntry(e, &u.last)
+	last := u.LastEntry()
+	saveEntry(e, &last)
 	e.U64(u.stats.Dispatches)
 	e.U64(u.stats.Resets)
 	e.U64(u.stats.BytesRead)
@@ -95,21 +100,32 @@ func (u *Unit) LoadState(d *state.Decoder) error {
 	if len(buf) > u.cfg.BufferBytes {
 		return fmt.Errorf("ifu: snapshot buffer holds %d bytes, capacity is %d", len(buf), u.cfg.BufferBytes)
 	}
-	// Full capacity up front, as in Reset: the prefetcher's appends must
-	// stay within the backing array so Step never allocates.
-	u.buf = make([]byte, len(buf), u.cfg.BufferBytes)
-	copy(u.buf, buf)
+	if d.Err() == nil && u.buffered() != uint32(len(buf)) {
+		return fmt.Errorf("ifu: snapshot buffer holds %d bytes, but the prefetch head is %d bytes ahead", len(buf), u.buffered())
+	}
+	for i, b := range buf {
+		u.ring[(u.headPC+uint32(i))&u.mask] = b
+	}
 	u.ops[0] = d.U16()
 	u.ops[1] = d.U16()
 	u.opHead = d.U8()
 	u.opLen = d.U8()
 	loadEntry(d, &u.last)
+	u.lastOp = -1
+	u.lastD = resolve(&u.last)
 	u.stats.Dispatches = d.U64()
 	u.stats.Resets = d.U64()
 	u.stats.BytesRead = d.U64()
 	u.stats.WordsFetch = d.U64()
 	for i := range u.table {
-		loadEntry(d, &u.table[i])
+		ent := &u.table[i]
+		loadEntry(d, ent)
+		if ent.Valid {
+			if err := checkEntry(uint8(i), ent); err != nil {
+				return err
+			}
+		}
 	}
+	u.resolveAll()
 	return d.Err()
 }

@@ -56,37 +56,75 @@ type Fault struct {
 
 // mapEntry is one page's translation and flags.
 type mapEntry struct {
-	rp    uint32
-	flags MapFlags
+	rp      uint32
+	flags   MapFlags
+	present bool // the page has an override (absent pages map identically, flag-free)
+}
+
+// The page table is two-level: a directory of leafPages-entry leaves
+// covering the 2^20 virtual pages of the 28-bit address space. The
+// directory is allocated by the first MapSet or SetMapFlags and each leaf
+// by the first override inside it, so an identity-mapped machine carries
+// no table and pays one nil check per reference.
+const (
+	numPages  = VAMask/PageWords + 1
+	leafBits  = 10
+	leafPages = 1 << leafBits
+)
+
+type mapLeaf [leafPages]mapEntry
+
+type pageTable struct {
+	n   int // present entries
+	dir [numPages / leafPages]*mapLeaf
+}
+
+// lookup returns vp's override, or nil when vp maps identically.
+func (t *pageTable) lookup(vp uint32) *mapEntry {
+	l := t.dir[vp>>leafBits]
+	if l == nil {
+		return nil
+	}
+	if e := &l[vp&(leafPages-1)]; e.present {
+		return e
+	}
+	return nil
 }
 
 // SetMapFlags sets the protection bits of virtual page vp (preserving the
 // translation; identity if none was set).
 func (s *System) SetMapFlags(vp uint32, f MapFlags) {
-	vp &= VAMask / PageWords
-	e := s.entry(vp)
-	e.flags.WP = f.WP
-	e.flags.Vacant = f.Vacant
-	e.flags.Ref = f.Ref
-	e.flags.Dirty = f.Dirty
-	s.vmapx[vp] = e
+	s.entry(vp & (VAMask / PageWords)).flags = f
 }
 
 // MapFlagsOf returns the flags of virtual page vp.
 func (s *System) MapFlagsOf(vp uint32) MapFlags {
-	vp &= VAMask / PageWords
-	if e, ok := s.vmapx[vp]; ok {
-		return e.flags
+	if s.vmap != nil {
+		if e := s.vmap.lookup(vp & (VAMask / PageWords)); e != nil {
+			return e.flags
+		}
 	}
 	return MapFlags{}
 }
 
-// entry fetches (or synthesizes) the extended map entry for vp.
-func (s *System) entry(vp uint32) mapEntry {
-	if e, ok := s.vmapx[vp]; ok {
-		return e
+// entry returns vp's override, creating an identity translation with no
+// flags if vp had none.
+func (s *System) entry(vp uint32) *mapEntry {
+	if s.vmap == nil {
+		s.vmap = new(pageTable)
 	}
-	return mapEntry{rp: s.MapGet(vp)}
+	t := s.vmap
+	l := t.dir[vp>>leafBits]
+	if l == nil {
+		l = new(mapLeaf)
+		t.dir[vp>>leafBits] = l
+	}
+	e := &l[vp&(leafPages-1)]
+	if !e.present {
+		*e = mapEntry{rp: vp, present: true}
+		t.n++
+	}
+	return e
 }
 
 // LastFault returns the most recent fault, if any, without clearing it.
@@ -104,9 +142,11 @@ func (s *System) TakeFault() (Fault, bool) {
 // a fault (recording it and counting it). Stores to WP pages must also be
 // suppressed by the caller.
 func (s *System) checkRef(task int, va uint32, isStore bool) (faulted bool) {
-	vp := (va & VAMask) / PageWords
-	e, ok := s.vmapx[vp]
-	if !ok {
+	if s.vmap == nil {
+		return false // identity-mapped machine: no flags to maintain
+	}
+	e := s.vmap.lookup((va & VAMask) / PageWords)
+	if e == nil {
 		return false // unextended pages have no flags to maintain
 	}
 	switch {
@@ -121,7 +161,6 @@ func (s *System) checkRef(task int, va uint32, isStore bool) (faulted bool) {
 	if isStore && !faulted {
 		e.flags.Dirty = true
 	}
-	s.vmapx[vp] = e
 	return faulted
 }
 

@@ -84,7 +84,7 @@ func TestFaultStats(t *testing.T) {
 func TestUnextendedPagesHaveNoFlagOverhead(t *testing.T) {
 	s := newSys(t, Config{})
 	s.StartRead(0, 100, 0)
-	if len(s.vmapx) != 0 {
+	if s.vmap != nil {
 		t.Error("plain reference materialized a map entry")
 	}
 }

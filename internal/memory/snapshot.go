@@ -2,7 +2,6 @@ package memory
 
 import (
 	"fmt"
-	"sort"
 
 	"dorado/internal/state"
 )
@@ -52,22 +51,27 @@ func (s *System) SaveState(e *state.Encoder) {
 	e.U64(s.stats.FastWrites)
 	e.U64(s.stats.MapFaults)
 	e.U64(s.stats.Faults)
-	// The page-map overrides, sorted by virtual page so the encoding is
-	// canonical (Go map iteration order is deliberately random).
-	vps := make([]uint32, 0, len(s.vmapx))
-	for vp := range s.vmapx {
-		vps = append(vps, vp)
-	}
-	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
-	e.U32(uint32(len(vps)))
-	for _, vp := range vps {
-		ent := s.vmapx[vp]
-		e.U32(vp)
-		e.U32(ent.rp)
-		e.Bool(ent.flags.WP)
-		e.Bool(ent.flags.Vacant)
-		e.Bool(ent.flags.Ref)
-		e.Bool(ent.flags.Dirty)
+	// The page-map overrides in ascending virtual-page order, so the
+	// encoding is canonical.
+	if s.vmap == nil {
+		e.U32(0)
+	} else {
+		e.U32(uint32(s.vmap.n))
+		for i, l := range s.vmap.dir {
+			if l == nil {
+				continue
+			}
+			for j := range l {
+				if ent := &l[j]; ent.present {
+					e.U32(uint32(i<<leafBits | j))
+					e.U32(ent.rp)
+					e.Bool(ent.flags.WP)
+					e.Bool(ent.flags.Vacant)
+					e.Bool(ent.flags.Ref)
+					e.Bool(ent.flags.Dirty)
+				}
+			}
+		}
 	}
 
 	e.Section(sectMemCache)
@@ -130,17 +134,30 @@ func (s *System) LoadState(d *state.Decoder) error {
 	s.stats.FastWrites = d.U64()
 	s.stats.MapFaults = d.U64()
 	s.stats.Faults = d.U64()
+	// The entry count is untrusted: nothing is sized from it. Entries
+	// must name pages in strictly increasing order (as SaveState writes
+	// them), so a hostile count runs into a short read, and a table never
+	// holds more than numPages entries.
+	s.vmap = nil
 	n := d.U32()
-	s.vmapx = make(map[uint32]mapEntry, n)
+	next := uint32(0) // lowest vp the next entry may name
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		vp := d.U32()
-		var ent mapEntry
-		ent.rp = d.U32()
-		ent.flags.WP = d.Bool()
-		ent.flags.Vacant = d.Bool()
-		ent.flags.Ref = d.Bool()
-		ent.flags.Dirty = d.Bool()
-		s.vmapx[vp] = ent
+		rp := d.U32()
+		flags := MapFlags{WP: d.Bool(), Vacant: d.Bool(), Ref: d.Bool(), Dirty: d.Bool()}
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if vp >= numPages {
+			return fmt.Errorf("memory: snapshot page-map entry %d: virtual page %#x out of range", i, vp)
+		}
+		if vp < next {
+			return fmt.Errorf("memory: snapshot page-map entry %d: virtual page %#x out of order", i, vp)
+		}
+		next = vp + 1
+		ent := s.entry(vp)
+		ent.rp = rp
+		ent.flags = flags
 	}
 
 	if err := d.Section(sectMemCache); err != nil {

@@ -85,8 +85,8 @@ type System struct {
 	data  []uint16 // real storage, indexed by real address
 	cache *cache
 
-	base  [32]uint32          // 28-bit base registers (MEMBASE selects one)
-	vmapx map[uint32]mapEntry // page map overrides: translation + flags (identity default)
+	base [32]uint32 // 28-bit base registers (MEMBASE selects one)
+	vmap *pageTable // page map overrides: translation + flags (nil: identity)
 
 	md            [NumTasks]mdState
 	storageFreeAt uint64 // next cycle a storage reference may start
@@ -117,7 +117,6 @@ func New(cfg Config) (*System, error) {
 		cfg:   cfg,
 		data:  make([]uint16, cfg.StorageWords),
 		cache: c,
-		vmapx: map[uint32]mapEntry{},
 	}, nil
 }
 
@@ -162,18 +161,18 @@ func (s *System) VA(membase uint8, disp uint16) uint32 {
 // MapSet overrides the translation of virtual page vp to real page rp
 // (clearing any Vacant flag; other flags are preserved).
 func (s *System) MapSet(vp, rp uint32) {
-	vp &= VAMask / PageWords
-	e := s.entry(vp)
+	e := s.entry(vp & (VAMask / PageWords))
 	e.rp = rp
 	e.flags.Vacant = false
-	s.vmapx[vp] = e
 }
 
 // MapGet returns the real page for virtual page vp.
 func (s *System) MapGet(vp uint32) uint32 {
 	vp &= VAMask / PageWords
-	if e, ok := s.vmapx[vp]; ok {
-		return e.rp
+	if s.vmap != nil {
+		if e := s.vmap.lookup(vp); e != nil {
+			return e.rp
+		}
 	}
 	return vp
 }

@@ -30,6 +30,7 @@ package state
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // magic identifies a snapshot document ("Dorado SNaPshot").
@@ -107,8 +108,11 @@ func (e *Encoder) Bool(v bool) {
 // U16s appends a run of 16-bit values with no count prefix (fixed-size
 // arrays whose length both sides know).
 func (e *Encoder) U16s(vs []uint16) {
-	for _, v := range vs {
-		e.U16(v)
+	n := len(e.data)
+	e.data = slices.Grow(e.data, 2*len(vs))[:n+2*len(vs)]
+	b := e.data[n:]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint16(b[2*i:], v)
 	}
 }
 
@@ -351,8 +355,13 @@ func (d *Decoder) Bool() bool {
 
 // U16s fills a fixed-size destination with 16-bit values.
 func (d *Decoder) U16s(dst []uint16) {
+	b := d.take(2 * len(dst))
+	if b == nil {
+		clear(dst)
+		return
+	}
 	for i := range dst {
-		dst[i] = d.U16()
+		dst[i] = binary.LittleEndian.Uint16(b[2*i:])
 	}
 }
 
