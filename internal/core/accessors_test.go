@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dorado/internal/device"
+	"dorado/internal/ifu"
 	"dorado/internal/memory"
 )
 
@@ -86,5 +87,21 @@ func TestAttachValidation(t *testing.T) {
 func TestBadMemoryConfigPropagates(t *testing.T) {
 	if _, err := New(Config{Memory: memory.Config{CacheWords: 100}}); err == nil {
 		t.Error("invalid memory config should fail machine construction")
+	}
+}
+
+// TestSmallIFUBufferRejected: a prefetch buffer that cannot hold a 3-byte
+// instruction would wedge dispatch, so New refuses it; 0 (the default) and
+// 4 (the smallest that always makes progress) build.
+func TestSmallIFUBufferRejected(t *testing.T) {
+	for _, n := range []int{3, -1} {
+		if _, err := New(Config{IFU: ifu.Config{BufferBytes: n}}); err == nil {
+			t.Errorf("BufferBytes %d accepted", n)
+		}
+	}
+	for _, n := range []int{0, 4} {
+		if _, err := New(Config{IFU: ifu.Config{BufferBytes: n}}); err != nil {
+			t.Errorf("BufferBytes %d rejected: %v", n, err)
+		}
 	}
 }

@@ -206,6 +206,11 @@ func (s *Stats) Utilization(t int) float64 {
 
 // New builds a Machine.
 func New(cfg Config) (*Machine, error) {
+	// Below 4 bytes the prefetcher stops before a 3-byte (wide) instruction
+	// is buffered, so dispatch would hold forever; 0 picks the default.
+	if b := cfg.IFU.BufferBytes; b < 0 || b > 0 && b < 4 {
+		return nil, fmt.Errorf("core: IFU BufferBytes %d cannot hold a 3-byte instruction (want 0 for the default, or at least 4)", b)
+	}
 	mem, err := memory.New(cfg.Memory)
 	if err != nil {
 		return nil, err

@@ -13,11 +13,15 @@ import (
 // chain from it and fuses the straight-line run into a superblock — a
 // single Go closure that executes the whole run without per-cycle
 // NextControl dispatch. Successor addresses, subroutine-linkage values, and
-// per-instruction specializations are resolved once, at translation time;
-// the block loops then execute fused cycles with the scheduler work either
-// hoisted to block entry (runBlockFast, the quiescent task-0 case) or
-// reduced to the exact per-cycle minimum step performs (runBlock, the
-// device-machine case).
+// per-instruction specializations are resolved once, at translation time:
+// each word becomes a closure from the one data-section template
+// (fuseWide, §6.3 operands/ALU/memory/stores plus its NEXTPC) or, when it
+// does not fit, a closure around exec (fuseExec). The block loops then
+// execute fused cycles with the scheduler work either hoisted to block
+// entry (runBlockFast, the quiescent task-0 case) or reduced to the exact
+// per-cycle minimum step performs (runBlock, the device-machine case).
+// Both runners stay because the §7 workloads sit on both sides of that
+// choice (DESIGN.md §12).
 //
 // The fallback contract (DESIGN.md §12): any event the fused path cannot
 // retire exactly — a Hold, a pending higher-priority task, a device wakeup
@@ -31,7 +35,7 @@ import (
 // differential tests and internal/fuzzdiff enforce.
 
 // Translation configures the superblock translator. The zero value
-// disables it; Enable with zero tuning fields picks the defaults. The
+// disables it; Enable with a zero HotThreshold picks the default. The
 // translator requires the as-built machine (no Options ablations, not
 // Reference) — core.New rejects other combinations.
 type Translation struct {
@@ -40,20 +44,18 @@ type Translation struct {
 	// HotThreshold is how many times a microword must execute on the
 	// generic loop before a superblock is built at its address (default 64).
 	HotThreshold uint32
-	// MaxBlock bounds the number of microinstructions fused into one
-	// superblock (default 48).
-	MaxBlock int
 }
 
 func (t Translation) withDefaults() Translation {
 	if t.HotThreshold == 0 {
 		t.HotThreshold = 64
 	}
-	if t.MaxBlock <= 0 {
-		t.MaxBlock = 48
-	}
 	return t
 }
+
+// maxBlock bounds the number of microinstructions fused into one
+// superblock, unrolled loop iterations included.
+const maxBlock = 48
 
 // TranslationStats counts translator activity. The counters are
 // diagnostics, not machine state: they are not serialized into snapshots
@@ -424,19 +426,19 @@ out:
 // LGOTO, LCALL) and closes with one dynamically-addressed terminator
 // (BRANCH, RETURN, IFUJUMP, DISP8, DISP256) when present; it stops early
 // at a reserved NextControl (left for the generic loop to diagnose), at
-// MaxBlock, or when the chain revisits an interior address. A run that
+// maxBlock, or when the chain revisits an interior address. A run that
 // closes back on start is a statically-proven loop: it is unrolled —
-// whole iterations replicated up to MaxBlock — so tight one- and
+// whole iterations replicated up to maxBlock — so tight one- and
 // two-word spin loops (the §7 I/O-benchmark emulator background, and the
 // inner loops of block transfers) amortize block entry over many cycles.
 func (m *Machine) translate(start microcode.Addr) *superblock {
 	t := m.trans
 	b := &superblock{start: start, devSafe: true, ifuSafe: true}
-	visited := make([]microcode.Addr, 0, t.cfg.MaxBlock)
+	visited := make([]microcode.Addr, 0, maxBlock)
 	visited = append(visited, start)
 	pc := start
 	iterLen := 0 // instructions per unrolled iteration, once known
-	for len(b.code) < t.cfg.MaxBlock {
+	for len(b.code) < maxBlock {
 		d := &m.dim[pc]
 		if d.block {
 			b.task0Only = true
@@ -450,15 +452,16 @@ func (m *Machine) translate(start microcode.Addr) *superblock {
 		switch d.op.Kind {
 		case microcode.NextGoto, microcode.NextCall,
 			microcode.NextLongGoto, microcode.NextLongCall:
-			next, link := staticNext(pc, d)
-			b.code = append(b.code, fuseInst(d, next, link))
+			s := staticNext(pc, d)
+			next := s.next
+			b.code = append(b.code, fuseInst(d, s))
 			b.addrs = append(b.addrs, pc)
 			if next == start {
 				// Closed loop: unroll further whole iterations.
 				if iterLen == 0 {
 					iterLen = len(b.code)
 				}
-				if len(b.code)+iterLen > t.cfg.MaxBlock {
+				if len(b.code)+iterLen > maxBlock {
 					goto done
 				}
 				pc = next
@@ -513,43 +516,74 @@ func blockContains(addrs []microcode.Addr, a microcode.Addr) bool {
 	return false
 }
 
+// successor is a fused word's NEXTPC (§6.2.2) resolved at translation
+// time, together with what each outcome reports to the block loop.
+type successor struct {
+	// next is the static successor, or a BRANCH's untaken target; the taken
+	// target is next with the condition ORed into its low bit (§5.5).
+	next microcode.Addr
+	// link is the LINK value a CALL loads; call says whether the word loads it.
+	link microcode.Addr
+	call bool
+	// branch marks a two-way BRANCH on cond.
+	branch bool
+	cond   microcode.Condition
+	// nextExit and takenExit are the block-loop reports for each target:
+	// instOK for a static successor; instEnd for a BRANCH target, or
+	// instLoop when it is the block's own start.
+	nextExit, takenExit instExit
+}
+
 // staticNext resolves a statically-addressed NextControl at translation
 // time: the successor address and, for the CALL kinds, the LINK value —
 // both exactly as nextAddr computes them per cycle (§6.2.2).
-func staticNext(pc microcode.Addr, d *decoded) (next, link microcode.Addr) {
-	link = (pc + 1) & microcode.AddrMask
+func staticNext(pc microcode.Addr, d *decoded) successor {
+	s := successor{link: (pc + 1) & microcode.AddrMask, nextExit: instOK}
 	switch d.op.Kind {
 	case microcode.NextGoto, microcode.NextCall:
-		next = pc&^microcode.Addr(microcode.WordMask) | microcode.Addr(d.op.W)
+		s.next = pc&^microcode.Addr(microcode.WordMask) | microcode.Addr(d.op.W)
 	case microcode.NextLongGoto, microcode.NextLongCall:
-		next = microcode.MakeAddr(d.ff, d.op.W)
+		s.next = microcode.MakeAddr(d.ff, d.op.W)
 	}
-	return next, link
+	s.call = d.op.Kind == microcode.NextCall || d.op.Kind == microcode.NextLongCall
+	return s
 }
 
-// fuseInst compiles one statically-successored microword: a specialized
-// closure when the word fits a template, the exec-backed generic closure
-// otherwise.
-func fuseInst(d *decoded, next, link microcode.Addr) instFn {
-	isCall := d.op.Kind == microcode.NextCall || d.op.Kind == microcode.NextLongCall
-	if fn := fuseALU(d, next, link, isCall); fn != nil {
+// branchNext resolves a BRANCH terminator's two page-relative targets
+// (§6.2.2). A target equal to the block's own start (the count-controlled
+// loop-back that closes §7 BitBlt's inner loop) reports instLoop, so the
+// block loop restarts without re-entering through runTranslated.
+func branchNext(start, pc microcode.Addr, d *decoded) successor {
+	s := successor{
+		next:      pc&^microcode.Addr(microcode.WordMask) | microcode.Addr(d.op.W),
+		branch:    true,
+		cond:      d.op.Cond,
+		nextExit:  instEnd,
+		takenExit: instEnd,
+	}
+	if s.next == start {
+		s.nextExit = instLoop
+	}
+	if s.next|1 == start {
+		s.takenExit = instLoop
+	}
+	return s
+}
+
+// fuseInst compiles one statically-successored microword: the data-section
+// template when the word fits it, the exec-backed generic closure otherwise.
+func fuseInst(d *decoded, s successor) instFn {
+	if fn := fuseWide(d, s); fn != nil {
 		return fn
 	}
-	if fn := fuseWide(d, next, link, isCall); fn != nil {
-		return fn
-	}
-	return fuseExec(d, next, link, isCall)
+	return fuseExec(d, s.next)
 }
 
 // fuseExec is the generic fused form: execute through exec (identical
-// semantics by construction — hold detection, memory issue, FF, stores),
-// then advance to the pre-resolved successor instead of re-deriving it.
-func fuseExec(d *decoded, next, link microcode.Addr, isCall bool) instFn {
-	// exec computes the successor and linkage itself via nextAddr; next and
-	// link exist so the translator has one closure shape per word. They are
-	// asserted equal in the package tests.
-	_ = link
-	_ = isCall
+// semantics by construction — hold detection, memory issue, FF, stores,
+// CALL linkage), then advance to the pre-resolved successor instead of
+// re-deriving it.
+func fuseExec(d *decoded, next microcode.Addr) instFn {
 	return func(m *Machine, now uint64) instExit {
 		held, _, _ := m.exec(d, now)
 		if held {
@@ -560,13 +594,13 @@ func fuseExec(d *decoded, next, link microcode.Addr, isCall bool) instFn {
 	}
 }
 
-// fuseTerm compiles the block's dynamically-successored terminator: a
-// specialized closure for the two-way BRANCH (both targets are page-relative
-// constants, §6.2.2), exec in full for the rest (RETURN, IFUJUMP, dispatch —
-// linkage reads, IFU dispatch side effects, dispatch address arithmetic).
+// fuseTerm compiles the block's dynamically-successored terminator: the
+// data-section template for a two-way BRANCH whose word and condition fit
+// it, exec in full for the rest (RETURN, IFUJUMP, dispatch — linkage reads,
+// IFU dispatch side effects, dispatch address arithmetic).
 func fuseTerm(start, pc microcode.Addr, d *decoded) instFn {
 	if d.op.Kind == microcode.NextBranch {
-		if fn := fuseBranch(start, pc, d); fn != nil {
+		if fn := fuseWide(d, branchNext(start, pc, d)); fn != nil {
 			return fn
 		}
 	}
@@ -580,7 +614,7 @@ func fuseTerm(start, pc microcode.Addr, d *decoded) instFn {
 	}
 }
 
-// Operand-source kinds for the specialized templates.
+// Operand-source kinds for the data-section template.
 const (
 	srcConst = iota
 	srcRM
@@ -589,156 +623,32 @@ const (
 	srcMD
 )
 
-// fuseALU compiles the register/stack ALU template: no hold sources, no
-// memory reference, no FF operation, register or constant operands, result
-// to T/RM/stack. This is the §6.3 data-section fast case — the bulk of
-// emulator opcode bodies and BitBlt setup code — with every per-cycle
-// decode branch of exec resolved at translation time. Returns nil when the
-// word does not fit the template.
-func fuseALU(d *decoded, next, link microcode.Addr, isCall bool) instFn {
-	if d.usesMD || d.usesIFUData || d.ifuJump || d.startsMem ||
-		d.ffop != microcode.FFNop || d.ffRMDest >= 0 || d.ffMemBase >= 0 {
-		return nil
-	}
-	var aKind int
-	switch d.aSel {
-	case microcode.ASelRM:
-		aKind = srcRM
-	case microcode.ASelT:
-		aKind = srcT
-	default:
-		return nil
-	}
-	bKind := srcConst
-	bConst := d.constB
-	if !d.isConstB {
-		switch d.bSel {
-		case microcode.BSelRM:
-			bKind = srcRM
-		case microcode.BSelT:
-			bKind = srcT
-		case microcode.BSelQ:
-			bKind = srcQ
-		default:
-			return nil
-		}
-	}
-	raddr := d.raddr
-	aluIdx := d.aluOp
-	loadsT, loadsRM := d.loadsT, d.loadsRM
-	if d.block {
-		// Stack-modifier variant (§6.3.3): the containing block is
-		// task0Only, so the stack unconditionally replaces RM.
-		delta := int(d.stackDelta)
-		return func(m *Machine, now uint64) instExit {
-			m.stats.TaskCycles[0]++
-			ts := &m.tasks[0]
-			rmVal := m.stack[m.stackPtr]
-			word := int(m.stackPtr) & (StackWords - 1)
-			nw := word + delta
-			if nw < 0 || nw >= StackWords {
-				ts.stackErr = true
-			}
-			stNewPtr := m.stackPtr&^uint8(StackWords-1) | uint8(nw&(StackWords-1))
-			aVal := rmVal
-			if aKind == srcT {
-				aVal = ts.t
-			}
-			var bVal uint16
-			switch bKind {
-			case srcConst:
-				bVal = bConst
-			case srcRM:
-				bVal = rmVal
-			case srcT:
-				bVal = ts.t
-			case srcQ:
-				bVal = m.q
-			}
-			ctl := m.alufm[aluIdx]
-			res, carry, ovf := aluOp(ctl, aVal, bVal, ts.savedCarry)
-			ts.zero = res == 0
-			ts.neg = res&0x8000 != 0
-			ts.carry = carry
-			ts.ovf = ovf
-			if ctl.Fn.IsArith() {
-				ts.savedCarry = carry
-			}
-			if loadsT {
-				ts.t = res
-			}
-			if loadsRM {
-				m.stack[stNewPtr] = res
-			}
-			m.stackPtr = stNewPtr
-			if isCall {
-				ts.link = link
-			}
-			m.stats.Executed++
-			m.stats.TaskExecuted[0]++
-			m.curPC = next
-			return instOK
-		}
-	}
-	return func(m *Machine, now uint64) instExit {
-		cur := m.curTask
-		m.stats.TaskCycles[cur]++
-		ts := &m.tasks[cur]
-		rIndex := m.rbase<<4 | raddr
-		var aVal uint16
-		if aKind == srcT {
-			aVal = ts.t
-		} else {
-			aVal = m.rm[rIndex]
-		}
-		var bVal uint16
-		switch bKind {
-		case srcConst:
-			bVal = bConst
-		case srcRM:
-			bVal = m.rm[rIndex]
-		case srcT:
-			bVal = ts.t
-		case srcQ:
-			bVal = m.q
-		}
-		ctl := m.alufm[aluIdx]
-		res, carry, ovf := aluOp(ctl, aVal, bVal, ts.savedCarry)
-		ts.zero = res == 0
-		ts.neg = res&0x8000 != 0
-		ts.carry = carry
-		ts.ovf = ovf
-		if ctl.Fn.IsArith() {
-			ts.savedCarry = carry
-		}
-		if loadsT {
-			ts.t = res
-		}
-		if loadsRM {
-			m.rm[rIndex] = res
-		}
-		if isCall {
-			ts.link = link
-		}
-		m.stats.Executed++
-		m.stats.TaskExecuted[cur]++
-		m.curPC = next
-		return instOK
-	}
-}
-
-// fuseWide compiles the memory/MD template: the inner-loop shape of block
-// transfers (§7's BitBlt) and emulator frame access — Fetch/Store words
-// with a same-instruction FF MEMBASE constant, MD operands, FF RM-write
-// redirection, and FF COUNT constants. Hold detection (MD readiness, cache
-// admission with the pre-applied base, §5.7) is kept per cycle because it
-// must be, but every decode branch — operand routing, the FF dispatch, the
-// destination index — is resolved at translation time. The admitted FF
-// subset never overrides RESULT, so the ALU result is the stored value.
-// Returns nil when the word does not fit.
-func fuseWide(d *decoded, next, link microcode.Addr, isCall bool) instFn {
+// fuseWide compiles the data-section template (§6.3): register, T, Q,
+// constant and MD operands; Fetch/Store words with a same-instruction FF
+// MEMBASE constant; FF RM-write redirection and FF COUNT constants; result
+// to T/RM; and NEXTPC from s — a static successor with its CALL linkage, or
+// a BRANCH on an ALU flag, COUNT≠0 (with its decrement), the stack-error
+// latch (cleared by the test) or MB. This covers the inner loops of block
+// transfers (§7's BitBlt) and the register and frame-access bodies of
+// emulator opcodes. Hold detection (MD readiness, cache admission with the
+// pre-applied base, §5.7) is kept per cycle because it must be, but every
+// decode branch — operand routing, the FF dispatch, the destination index —
+// is resolved at translation time. The admitted FF subset never overrides
+// RESULT, so the ALU result is the stored value. Stack-modifier words
+// (Block bit) and IFU operands stay on exec. Returns nil when the word does
+// not fit.
+func fuseWide(d *decoded, s successor) instFn {
 	if d.usesIFUData || d.ifuJump || d.block {
 		return nil
+	}
+	if s.branch {
+		switch s.cond {
+		case microcode.CondALUZero, microcode.CondALUNeg, microcode.CondCarry,
+			microcode.CondCountNZ, microcode.CondOverflow, microcode.CondStackError,
+			microcode.CondMB:
+		default:
+			return nil // IOAtten reads a device: left to exec
+		}
 	}
 	countConst := -1
 	switch {
@@ -873,206 +783,18 @@ func fuseWide(d *decoded, next, link microcode.Addr, isCall bool) instFn {
 		if loadsRM {
 			m.rm[m.rbase<<4|wRaddr] = res
 		}
-		if isCall {
-			ts.link = link
-		}
+		// NEXTPC, after the result stores as in exec: the branch condition
+		// reads the flags and COUNT this word just wrote.
 		m.stats.Executed++
 		m.stats.TaskExecuted[cur]++
-		m.curPC = next
-		return instOK
-	}
-}
-
-// fuseBranch compiles a two-way BRANCH terminator whose data section fits
-// the wide template: both successors are page-relative constants resolved
-// here (untaken, and untaken with the condition ORed into the low bit,
-// §5.5), so the word that closes a block-transfer inner loop — store, count
-// decrement, loop-back — runs fused like the rest of the loop instead of
-// through exec. The body mirrors fuseWide exactly; the condition kinds
-// admitted are the ALU flags, COUNT≠0 (with its decrement side effect), the
-// stack-error latch (cleared by the test), and MB. Returns nil when the
-// word does not fit. A successor equal to the block's own start (the
-// count-controlled loop-back that closes §7 BitBlt's inner loop) reports
-// instLoop so the block loop restarts without re-entering through
-// runTranslated.
-func fuseBranch(start, pc microcode.Addr, d *decoded) instFn {
-	if d.usesIFUData || d.ifuJump || d.block {
-		return nil
-	}
-	cond := d.op.Cond
-	switch cond {
-	case microcode.CondALUZero, microcode.CondALUNeg, microcode.CondCarry,
-		microcode.CondCountNZ, microcode.CondOverflow, microcode.CondStackError,
-		microcode.CondMB:
-	default:
-		return nil
-	}
-	countConst := -1
-	switch {
-	case d.ffop == microcode.FFNop, d.ffMemBase >= 0, d.ffRMDest >= 0:
-	case d.ffop >= microcode.FFCountBase && d.ffop < microcode.FFCountBase+16:
-		countConst = int(d.ffop - microcode.FFCountBase)
-	default:
-		return nil
-	}
-	var aKind int
-	switch d.aSel {
-	case microcode.ASelRM, microcode.ASelFetch, microcode.ASelStore:
-		aKind = srcRM
-	case microcode.ASelT:
-		aKind = srcT
-	case microcode.ASelMD:
-		aKind = srcMD
-	default:
-		return nil
-	}
-	bKind := srcConst
-	bConst := d.constB
-	if !d.isConstB {
-		switch d.bSel {
-		case microcode.BSelRM:
-			bKind = srcRM
-		case microcode.BSelT:
-			bKind = srcT
-		case microcode.BSelQ:
-			bKind = srcQ
-		case microcode.BSelMD:
-			bKind = srcMD
-		default:
-			return nil
+		if s.call {
+			ts.link = s.link
 		}
-	}
-	usesMD := d.usesMD
-	startsMem, isStore := d.startsMem, d.isStore
-	mbConst := int(d.ffMemBase)
-	raddr := d.raddr
-	wRaddr := raddr
-	if d.ffRMDest >= 0 {
-		wRaddr = uint8(d.ffRMDest)
-	}
-	aluIdx := d.aluOp
-	loadsT, loadsRM := d.loadsT, d.loadsRM
-	untaken := pc&^microcode.Addr(microcode.WordMask) | microcode.Addr(d.op.W)
-	taken := untaken | 1
-	takenExit, untakenExit := instEnd, instEnd
-	if taken == start {
-		takenExit = instLoop
-	}
-	if untaken == start {
-		untakenExit = instLoop
-	}
-	return func(m *Machine, now uint64) instExit {
-		cur := m.curTask
-		m.stats.TaskCycles[cur]++
-		if usesMD && !m.mdReady(now) {
-			m.stats.HoldMD++
-			m.stats.Holds++
-			return instHeld
+		if s.branch && m.evalCond(s.cond, ts, now) {
+			m.curPC = s.next | 1
+			return s.takenExit
 		}
-		rIndex := m.rbase<<4 | raddr
-		if startsMem {
-			mb := m.membase
-			if mbConst >= 0 {
-				mb = uint8(mbConst)
-			}
-			va := m.mem.VA(mb, m.rm[rIndex])
-			ok := false
-			if isStore {
-				ok = m.mem.CanWrite(va, now)
-			} else {
-				ok = m.mem.CanRead(cur, va, now)
-			}
-			if !ok {
-				m.stats.HoldMem++
-				m.stats.Holds++
-				return instHeld
-			}
-		}
-		ts := &m.tasks[cur]
-		var aVal uint16
-		switch aKind {
-		case srcT:
-			aVal = ts.t
-		case srcMD:
-			aVal = m.mem.MD(cur, now)
-		default:
-			aVal = m.rm[rIndex]
-		}
-		var bVal uint16
-		switch bKind {
-		case srcConst:
-			bVal = bConst
-		case srcRM:
-			bVal = m.rm[rIndex]
-		case srcT:
-			bVal = ts.t
-		case srcQ:
-			bVal = m.q
-		case srcMD:
-			bVal = m.mem.MD(cur, now)
-		}
-		ctl := m.alufm[aluIdx]
-		res, carry, ovf := aluOp(ctl, aVal, bVal, ts.savedCarry)
-		ts.zero = res == 0
-		ts.neg = res&0x8000 != 0
-		ts.carry = carry
-		ts.ovf = ovf
-		if ctl.Fn.IsArith() {
-			ts.savedCarry = carry
-		}
-		if mbConst >= 0 {
-			m.membase = uint8(mbConst)
-		}
-		if countConst >= 0 {
-			m.count = uint16(countConst)
-		}
-		if startsMem {
-			va := m.mem.VA(m.membase, aVal)
-			if isStore {
-				if !m.mem.StartWrite(cur, va, bVal, now) {
-					panic("core: StartWrite refused after CanWrite")
-				}
-			} else {
-				if !m.mem.StartRead(cur, va, now) {
-					panic("core: StartRead refused after CanRead")
-				}
-			}
-		}
-		if loadsT {
-			ts.t = res
-		}
-		if loadsRM {
-			m.rm[m.rbase<<4|wRaddr] = res
-		}
-		// Branch condition (evalCond semantics for the admitted kinds).
-		take := false
-		switch cond {
-		case microcode.CondALUZero:
-			take = ts.zero
-		case microcode.CondALUNeg:
-			take = ts.neg
-		case microcode.CondCarry:
-			take = ts.carry
-		case microcode.CondCountNZ:
-			if m.count != 0 {
-				m.count--
-				take = true
-			}
-		case microcode.CondOverflow:
-			take = ts.ovf
-		case microcode.CondStackError:
-			take = ts.stackErr
-			ts.stackErr = false
-		case microcode.CondMB:
-			take = ts.mb
-		}
-		m.stats.Executed++
-		m.stats.TaskExecuted[cur]++
-		if take {
-			m.curPC = taken
-			return takenExit
-		}
-		m.curPC = untaken
-		return untakenExit
+		m.curPC = s.next
+		return s.nextExit
 	}
 }

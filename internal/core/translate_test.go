@@ -94,8 +94,8 @@ func TestTranslationConfigValidation(t *testing.T) {
 	if m.trans == nil {
 		t.Fatal("Translation enabled but no translator allocated")
 	}
-	if got := m.trans.cfg; got.HotThreshold != 64 || got.MaxBlock != 48 {
-		t.Errorf("defaults = %+v, want HotThreshold 64, MaxBlock 48", got)
+	if got := m.trans.cfg; got.HotThreshold != 64 {
+		t.Errorf("defaults = %+v, want HotThreshold 64", got)
 	}
 	if m2, err := New(Config{}); err != nil || m2.trans != nil {
 		t.Errorf("plain machine got a translator (err %v)", err)
@@ -103,8 +103,8 @@ func TestTranslationConfigValidation(t *testing.T) {
 }
 
 // TestTranslatedDifferentialALU: a hot data-section loop — §5.9 constants,
-// COUNT branch, CALL/RETURN, Q, FF RM-redirect — the fuseALU template's
-// home turf plus fused terminators (branch, return).
+// COUNT branch, CALL/RETURN, Q, FF RM-redirect — the data-section
+// template's register forms plus fused terminators (branch, return).
 func TestTranslatedDifferentialALU(t *testing.T) {
 	bl := masm.NewBuilder()
 	bl.EmitAt("start", masm.I{ALU: microcode.ALUB, Const: 0x00FF, HasConst: true, LC: microcode.LCLoadT})
@@ -456,7 +456,7 @@ func TestTranslatedRestore(t *testing.T) {
 }
 
 // TestTranslateBlockShapes checks the fusion rules directly: closed loops
-// unroll in whole iterations up to MaxBlock, stack-modifier words force
+// unroll in whole iterations up to maxBlock, stack-modifier words force
 // task0Only, and a run into an interior revisit (not the start) stops.
 func TestTranslateBlockShapes(t *testing.T) {
 	bl := masm.NewBuilder()
@@ -472,26 +472,128 @@ func TestTranslateBlockShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Load(&p.Words)
-	maxBlock := m.trans.cfg.MaxBlock
 
 	b := m.translate(p.MustEntry("start"))
 	if b == nil {
 		t.Fatal("three-word loop did not translate")
 	}
 	if len(b.code)%3 != 0 || len(b.code) < 3 || len(b.code) > maxBlock {
-		t.Errorf("loop of 3 unrolled to %d instructions, want a whole multiple of 3 within MaxBlock %d",
+		t.Errorf("loop of 3 unrolled to %d instructions, want a whole multiple of 3 within maxBlock %d",
 			len(b.code), maxBlock)
 	}
 	if !b.task0Only {
 		t.Error("block with stack-modifier words not marked task0Only")
 	}
 	if b := m.translate(p.MustEntry("self")); b == nil || len(b.code) != maxBlock {
-		t.Errorf("single-word self-loop should unroll to MaxBlock %d, got %+v", maxBlock, b)
+		t.Errorf("single-word self-loop should unroll to maxBlock %d, got %+v", maxBlock, b)
 	}
 	// head→inner: inner is a closed loop on itself, but from head's block the
 	// revisit is interior, so the run stops there (the inner loop gets its
 	// own block when it becomes hot).
 	if b := m.translate(p.MustEntry("head")); b != nil && len(b.code) != 2 {
 		t.Errorf("run into an interior loop fused %d instructions, want 2", len(b.code))
+	}
+}
+
+// toggleAtten raises attention in alternating 5-cycle windows, so a
+// CondIOAtten branch goes both ways in a deterministic, path-independent
+// pattern (Tick runs every cycle on all three paths).
+type toggleAtten struct {
+	device.Nop
+	now uint64
+}
+
+func (d *toggleAtten) Tick(now uint64) { d.now = now }
+func (d *toggleAtten) Atten() bool     { return d.now/5%2 == 0 }
+
+// TestTranslatedBranchConditions closes a hot loop with every BRANCH
+// condition, in both polarities: the taken target loops back to the block
+// start and the untaken one leaves the block, then the reverse. The seven
+// conditions the data-section template admits must fuse; CondIOAtten reads
+// a device and must stay on exec. All three paths must agree at every
+// chunk, and every scenario must take both arms of its branch.
+func TestTranslatedBranchConditions(t *testing.T) {
+	aluT := masm.I{A: microcode.ASelT, ALU: microcode.ALUA}
+	plusRM4 := masm.I{A: microcode.ASelT, B: microcode.BSelRM, R: 4, ALU: microcode.ALUAplusB}
+	cases := []struct {
+		name string
+		cond microcode.Condition
+		prep []masm.I // words between the loop counter and the branch word
+		test masm.I   // the branch word's data section
+	}{
+		{"zero", microcode.CondALUZero, nil,
+			masm.I{A: microcode.ASelT, Const: 3, HasConst: true, ALU: microcode.ALUAandB}},
+		{"neg", microcode.CondALUNeg, nil, aluT},
+		{"carry", microcode.CondCarry, nil, plusRM4},       // T + 0xC000 carries for T ≥ 0x4000
+		{"overflow", microcode.CondOverflow, nil, plusRM4}, // and overflows for T in [0x8000, 0xBFFF]
+		{"count", microcode.CondCountNZ, nil, aluT},        // COUNT 3 at entry, never reloaded
+		{"stackerr", microcode.CondStackError, []masm.I{
+			{Block: true, R: 1, ALU: microcode.ALUB, Const: 0x0011, HasConst: true, LC: microcode.LCLoadRM},
+		}, aluT}, // a push per iteration overflows the 64-word stack periodically
+		{"mb", microcode.CondMB, []masm.I{
+			{A: microcode.ASelT, B: microcode.BSelRM, R: 8, ALU: microcode.ALUAandB,
+				FF: microcode.FFRMDestBase + 2, LC: microcode.LCLoadRM}, // RM2 := T & 0x1FF
+			{A: microcode.ASelFetch, R: 2},
+			{},
+			{FF: microcode.FFProbeMD},
+		}, aluT}, // MB = MD ready two cycles after a fetch: hits yes, misses no
+		{"ioatten", microcode.CondIOAtten, nil, aluT},
+	}
+	for _, tc := range cases {
+		for _, takenLoops := range []bool{true, false} {
+			name := tc.name + "/untaken-loops"
+			flow := masm.Branch(tc.cond, "start", "out")
+			if takenLoops {
+				name = tc.name + "/taken-loops"
+				flow = masm.Branch(tc.cond, "out", "start")
+			}
+			bl := masm.NewBuilder()
+			bl.EmitAt("entry", masm.I{FF: microcode.FFCountBase + 3, Flow: masm.Goto("start")})
+			bl.EmitAt("start", masm.I{A: microcode.ASelT, B: microcode.BSelRM, R: 5,
+				ALU: microcode.ALUAplusB, LC: microcode.LCLoadT}) // T += 0x2345
+			bl.Emit(masm.I{A: microcode.ASelRM, R: 7, ALU: microcode.ALUAplus1, LC: microcode.LCLoadRM})
+			for _, w := range tc.prep {
+				bl.Emit(w)
+			}
+			test := tc.test
+			test.Flow = flow
+			bl.EmitAt("test", test)
+			bl.EmitAt("out", masm.I{A: microcode.ASelRM, R: 6, ALU: microcode.ALUAplus1,
+				LC: microcode.LCLoadRM, Flow: masm.Goto("start")})
+			p := mustProgram(t, bl)
+			tr := diffTranslated(t, name, 2000, 13, func(cfg Config) (*Machine, error) {
+				cfg.Memory = smallMem
+				m, err := New(cfg)
+				if err != nil {
+					return nil, err
+				}
+				m.Load(&p.Words)
+				m.SetRM(4, 0xC000)
+				m.SetRM(5, 0x2345)
+				m.SetRM(8, 0x01FF)
+				if tc.cond == microcode.CondIOAtten {
+					// The only scenario with a device: the rest run on the
+					// quiescent fast runner.
+					if err := m.Attach(&toggleAtten{Nop: device.Nop{TaskNum: 4}}); err != nil {
+						return nil, err
+					}
+					m.SetIOAddress(0, 4)
+				}
+				m.Start(p.MustEntry("entry"))
+				return m, nil
+			})
+			if st := tr.TranslationStats(); st.BlocksBuilt == 0 || st.FusedCycles == 0 {
+				t.Errorf("%s: loop never ran fused: %+v", name, st)
+			}
+			if iters, outs := tr.RM(7), tr.RM(6); outs == 0 || outs >= iters {
+				t.Errorf("%s: %d iterations, %d left through out: the branch did not go both ways", name, iters, outs)
+			}
+			start, pc := p.MustEntry("start"), p.MustEntry("test")
+			d := &tr.dim[pc]
+			fused := fuseWide(d, branchNext(start, pc, d)) != nil
+			if want := tc.cond != microcode.CondIOAtten; fused != want {
+				t.Errorf("%s: template admits the branch word = %v, want %v", name, fused, want)
+			}
+		}
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"strconv"
 )
 
-// cycleNS is the simulated cycle time the trace timeline is scaled by
+// CycleNS is the simulated cycle time trace timelines are scaled by
 // (60 ns, §1 of the paper; mirrors core.CycleNS without the import).
-const cycleNS = 60
+const CycleNS = 60
 
-// traceEvent is one Chrome trace_event object. Field order is fixed, so
+// TraceEvent is one Chrome trace_event object. Field order is fixed, so
 // json.Marshal output is byte-deterministic.
-type traceEvent struct {
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -23,18 +23,27 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// traceDoc is the trace_event JSON object format, which both
+// TraceDoc is the trace_event JSON object format, which both
 // chrome://tracing and Perfetto load.
-type traceDoc struct {
-	TraceEvents []traceEvent   `json:"traceEvents"`
+type TraceDoc struct {
+	TraceEvents []TraceEvent   `json:"traceEvents"`
 	OtherData   map[string]any `json:"otherData,omitempty"`
 }
 
-// usec renders a cycle count as a microsecond timestamp with two decimals
-// (60 ns per cycle ⇒ multiples of 0.06 µs, so two decimals are exact).
-// Integer math keeps the string — and therefore the export — byte-stable.
-func usec(cycles uint64) json.Number {
-	ns := cycles * cycleNS
+// Encode writes the document as indented JSON, the layout every Chrome
+// trace export of the simulator shares.
+func (d *TraceDoc) Encode(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(d)
+}
+
+// TraceTime renders a cycle count as a microsecond timestamp with two
+// decimals (60 ns per cycle ⇒ multiples of 0.06 µs, so two decimals are
+// exact). Integer math keeps the string — and therefore the export —
+// byte-stable.
+func TraceTime(cycles uint64) json.Number {
+	ns := cycles * CycleNS
 	return json.Number(strconv.FormatUint(ns/1000, 10) + "." +
 		pad2((ns%1000)/10))
 }
@@ -53,10 +62,10 @@ func pad2(v uint64) string {
 // https://ui.perfetto.dev to see the §6.2.1 task multiplexing laid out in
 // time. Call Recorder.Flush first so the trailing span is closed.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
-	doc := traceDoc{
-		TraceEvents: []traceEvent{},
+	doc := TraceDoc{
+		TraceEvents: []TraceEvent{},
 		OtherData: map[string]any{
-			"cycle_ns": cycleNS,
+			"cycle_ns": CycleNS,
 			"source":   "dorado simulator (internal/obs)",
 		},
 	}
@@ -65,7 +74,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	}
 
 	// Name the process and the task rows that actually appear.
-	doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+	doc.TraceEvents = append(doc.TraceEvents, TraceEvent{
 		Name: "process_name", Ph: "M", Ts: "0", Pid: 1, Tid: 0,
 		Args: map[string]any{"name": "Dorado processor"},
 	})
@@ -77,7 +86,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		if !seen[t] {
 			continue
 		}
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		doc.TraceEvents = append(doc.TraceEvents, TraceEvent{
 			Name: "thread_name", Ph: "M", Ts: "0", Pid: 1, Tid: t,
 			Args: map[string]any{"name": r.TaskName(t)},
 		})
@@ -85,9 +94,9 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 
 	// Scheduling spans: complete ("X") events, one per processor tenancy.
 	for _, sp := range r.Spans() {
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		doc.TraceEvents = append(doc.TraceEvents, TraceEvent{
 			Name: r.TaskName(sp.Task), Cat: "task", Ph: "X",
-			Ts: usec(sp.Start), Dur: usec(sp.End - sp.Start),
+			Ts: TraceTime(sp.Start), Dur: TraceTime(sp.End - sp.Start),
 			Pid: 1, Tid: sp.Task,
 			Args: map[string]any{"cycles": sp.End - sp.Start},
 		})
@@ -105,13 +114,11 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		if len(args) == 0 {
 			continue
 		}
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		doc.TraceEvents = append(doc.TraceEvents, TraceEvent{
 			Name: "busy cycles", Cat: "utilization", Ph: "C",
-			Ts: usec(sl.Start), Pid: 1, Tid: 0, Args: args,
+			Ts: TraceTime(sl.Start), Pid: 1, Tid: 0, Args: args,
 		})
 	}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	return doc.Encode(w)
 }

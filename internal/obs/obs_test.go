@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -221,11 +222,33 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
+// TestChromeTraceBytesPinned pins the exact export bytes on a fixed input
+// (spans, a dropped-span count, a multi-task timeline, a named task), so a
+// refactor of the trace_event encoding cannot change the file a viewer loads.
+func TestChromeTraceBytesPinned(t *testing.T) {
+	r := NewRecorder(Config{TimelineInterval: 3, MaxSpans: 3})
+	r.SetTaskName(4, "disk")
+	feed(r, []fed{
+		{task: 0, lines: 1}, {task: 0, lines: 1 | 1<<4},
+		{task: 4, lines: 1}, {task: 4, lines: 1 | 1<<9},
+		{task: 9, lines: 1}, {task: 0, lines: 1},
+		{task: 4, lines: 1}, {task: 0, lines: 1},
+	})
+	var b bytes.Buffer
+	if err := WriteChromeTrace(&b, r); err != nil {
+		t.Fatal(err)
+	}
+	const want = "c9e86cc3613c5334ca9450773445977dd23e13360e0bb06715d37b2b0d66b2d8"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != want {
+		t.Errorf("Chrome trace SHA-256 = %s, want %s\n%s", got, want, b.String())
+	}
+}
+
 func TestUsecFormatting(t *testing.T) {
 	cases := map[uint64]string{0: "0.00", 1: "0.06", 2: "0.12", 17: "1.02", 1000: "60.00"}
 	for cycles, want := range cases {
-		if got := string(usec(cycles)); got != want {
-			t.Errorf("usec(%d) = %q, want %q", cycles, got, want)
+		if got := string(TraceTime(cycles)); got != want {
+			t.Errorf("TraceTime(%d) = %q, want %q", cycles, got, want)
 		}
 	}
 }

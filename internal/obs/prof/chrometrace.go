@@ -1,56 +1,24 @@
 package prof
 
 import (
-	"encoding/json"
 	"io"
-	"strconv"
+
+	"dorado/internal/obs"
 )
 
 // Chrome-trace annotation of superblock spans: each recent block execution
 // renders as a complete ("X") event on a "superblocks" row, named by the
 // block's symbol and tagged with its exit reason — load next to the
 // scheduler trace from obs.WriteChromeTrace to see exactly which events
-// cut fused runs short. The structs mirror internal/obs's unexported
-// trace_event encoding (obs cannot import this package's core dependency,
-// so the few lines are duplicated rather than exported).
-
-const cycleNS = 60 // simulated ns per cycle (§1)
-
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   json.Number    `json:"ts"`
-	Dur  json.Number    `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type traceDoc struct {
-	TraceEvents []traceEvent   `json:"traceEvents"`
-	OtherData   map[string]any `json:"otherData,omitempty"`
-}
-
-// usec renders a cycle count as a microsecond timestamp with two exact
-// decimals (60 ns per cycle ⇒ multiples of 0.06 µs).
-func usec(cycles uint64) json.Number {
-	ns := cycles * cycleNS
-	frac := (ns % 1000) / 10
-	s := strconv.FormatUint(ns/1000, 10) + "."
-	if frac < 10 {
-		s += "0"
-	}
-	return json.Number(s + strconv.FormatUint(frac, 10))
-}
+// cut fused runs short. Both exports share obs's trace_event encoding.
 
 // WriteChromeTrace renders the profile's superblock spans as Chrome
 // trace_event JSON: one row, one duration event per block execution, exit
 // reason and fused cycle count in args. Loads in chrome://tracing and
 // https://ui.perfetto.dev.
 func WriteChromeTrace(w io.Writer, p *Profile) error {
-	doc := traceDoc{
-		TraceEvents: []traceEvent{{
+	doc := obs.TraceDoc{
+		TraceEvents: []obs.TraceEvent{{
 			Name: "process_name", Ph: "M", Ts: "0", Pid: 2, Tid: 0,
 			Args: map[string]any{"name": "Dorado superblocks"},
 		}, {
@@ -58,7 +26,7 @@ func WriteChromeTrace(w io.Writer, p *Profile) error {
 			Args: map[string]any{"name": "superblocks"},
 		}},
 		OtherData: map[string]any{
-			"cycle_ns": cycleNS,
+			"cycle_ns": obs.CycleNS,
 			"source":   "dorado simulator (internal/obs/prof)",
 		},
 	}
@@ -66,9 +34,9 @@ func WriteChromeTrace(w io.Writer, p *Profile) error {
 		doc.OtherData["spans_dropped"] = p.SpansDropped
 	}
 	for _, sp := range p.Spans {
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		doc.TraceEvents = append(doc.TraceEvents, obs.TraceEvent{
 			Name: sp.Name, Cat: "superblock", Ph: "X",
-			Ts: usec(sp.Start), Dur: usec(sp.Cycles), Pid: 2, Tid: 0,
+			Ts: obs.TraceTime(sp.Start), Dur: obs.TraceTime(sp.Cycles), Pid: 2, Tid: 0,
 			Args: map[string]any{
 				"block":  sp.Block.String(),
 				"cycles": sp.Cycles,
@@ -76,7 +44,5 @@ func WriteChromeTrace(w io.Writer, p *Profile) error {
 			},
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	return doc.Encode(w)
 }

@@ -3,7 +3,9 @@ package prof
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -271,6 +273,22 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if spans != 2 {
 		t.Errorf("%d superblock events, want 2", spans)
+	}
+}
+
+// TestChromeTraceBytesPinned pins the exact export bytes on a fixed
+// profile, so a refactor of the trace_event encoding cannot change the file
+// a viewer loads.
+func TestChromeTraceBytesPinned(t *testing.T) {
+	p := Build(testSnapshot(), testSymbols())
+	p.SpansDropped = 3
+	var b bytes.Buffer
+	if err := WriteChromeTrace(&b, p); err != nil {
+		t.Fatal(err)
+	}
+	const want = "a95872a3165487a6e3bf6dab208839fce79764b1a1d66f9c4bf10eb8bfa1b12a"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != want {
+		t.Errorf("Chrome trace SHA-256 = %s, want %s\n%s", got, want, b.String())
 	}
 }
 
